@@ -2,7 +2,9 @@
 //! `sc-serve` in front of the BISC-MVM accelerator, on the virtual
 //! clock.
 //!
-//! Three storms, all bitwise reproducible:
+//! Three single-server storms, all bitwise reproducible (a single
+//! server is a one-replica fleet, the serving loop the sharded storms
+//! below run on too):
 //!
 //! * **ramp** — arrival spacing shrinks from comfortable to far past
 //!   saturation; shows the degradation ladder engaging tier by tier.
@@ -46,8 +48,8 @@ use sc_neural::net::Network;
 use sc_neural::tensor::Tensor;
 use sc_serve::{
     AccelBackend, AccelPayload, Backend, BackendReply, BreakerConfig, DegradePolicy, DegradeTier,
-    Fleet, FleetConfig, HedgePolicy, NeuralBackend, Outcome, PlannedRestart, RecoveryPolicy,
-    Request, RetryPolicy, Server, ServerConfig, ShedPolicy,
+    Fleet, FleetConfig, FleetReport, HedgePolicy, NeuralBackend, Outcome, PlannedRestart,
+    RecoveryPolicy, Request, RetryPolicy, ServerConfig, ShedPolicy,
 };
 use sc_telemetry::json::Json;
 use sc_telemetry::metrics::{histogram, log2_bounds};
@@ -186,16 +188,25 @@ fn spike_trace(background: u64, burst: u64, s: u64) -> Vec<Request> {
     reqs
 }
 
+/// A single server: the given tuning on a one-replica fleet.
+fn one_replica(server: ServerConfig) -> FleetConfig {
+    FleetConfig { server, replicas: 1, ..FleetConfig::default() }
+}
+
+/// `n` fresh accelerator backends, one per replica.
+fn backends(n: usize) -> Vec<Box<dyn Backend>> {
+    (0..n).map(|_| Box::new(backend()) as Box<dyn Backend>).collect()
+}
+
 struct ScenarioRow {
     name: &'static str,
     /// The fault site armed for this scenario ("" when clean) — the
     /// label the obs plane slices on.
     site: &'static str,
-    requests: usize,
     /// The arrival trace the scenario answered, kept so event records
     /// can recover per-request deadlines.
     workload: Vec<Request>,
-    report: sc_serve::ServeReport,
+    report: FleetReport,
     /// Bucketed p50/p99 over *this scenario's* slice of the shared
     /// `serve.latency` registry histogram, via the windowed-quantile
     /// fast path (one fused pass against a pre-scenario baseline).
@@ -203,18 +214,19 @@ struct ScenarioRow {
     window_p99: u64,
 }
 
-/// Runs one storm scenario, bracketing it with registry-histogram
-/// snapshots so the row carries per-scenario windowed quantiles.
+/// Runs one storm scenario through a fleet, bracketing it with
+/// registry-histogram snapshots so the row carries per-scenario windowed
+/// quantiles.
 fn run_scenario(
     name: &'static str,
     site: &'static str,
-    config: ServerConfig,
-    backend: &mut dyn Backend,
+    config: FleetConfig,
+    backends: &mut [Box<dyn Backend>],
     requests: Vec<Request>,
 ) -> ScenarioRow {
     let lat = histogram("serve.latency", &log2_bounds(24));
     let base = lat.snapshot();
-    let report = Server::new(config).run(backend, requests.clone());
+    let report = Fleet::new(config).run(backends, requests.clone());
     let (window_p50, window_p99) =
         (lat.quantile_at_window(&base, 0.50), lat.quantile_at_window(&base, 0.99));
     if report.completed() > 0 {
@@ -226,38 +238,55 @@ fn run_scenario(
             report.latency_percentile(99.0)
         );
     }
-    ScenarioRow {
-        name,
-        site,
-        requests: requests.len(),
-        workload: requests,
-        report,
-        window_p50,
-        window_p99,
-    }
+    ScenarioRow { name, site, workload: requests, report, window_p50, window_p99 }
 }
 
 impl ScenarioRow {
-    /// Merged per-category cycle attribution across the scenario's
-    /// responses.
-    fn attribution(&self) -> sc_telemetry::CycleAttribution {
-        let mut attr = sc_telemetry::CycleAttribution::new();
-        for r in &self.report.responses {
-            attr.merge(&r.attribution);
-        }
-        attr
-    }
-
     fn to_json(&self) -> Json {
         let r = &self.report;
-        let attribution = self
-            .attribution()
+        let health_json = |h: &sc_serve::HealthReport| {
+            Json::obj(vec![
+                ("verdict", Json::Str(h.verdict().label().to_string())),
+                ("windows", Json::UInt(h.closed_windows())),
+                ("breaches", Json::UInt(h.breaches())),
+                ("recoveries", Json::UInt(h.recoveries())),
+                ("incidents", Json::UInt(h.incidents.len() as u64)),
+                ("transitions", Json::UInt(h.transitions.len() as u64)),
+            ])
+        };
+        let mut attr = sc_telemetry::CycleAttribution::new();
+        for resp in &r.responses {
+            attr.merge(&resp.attribution);
+        }
+        let attribution =
+            attr.iter().map(|(c, cycles)| (c.name().to_string(), Json::UInt(cycles))).collect();
+        let shards = r
+            .shards
             .iter()
-            .map(|(c, cycles)| (c.name().to_string(), Json::UInt(cycles)))
+            .enumerate()
+            .map(|(i, sh)| {
+                let mut pairs = vec![
+                    ("replica", Json::UInt(i as u64)),
+                    ("dispatched", Json::UInt(sh.dispatched)),
+                    ("completed", Json::UInt(sh.completed)),
+                    ("cancelled", Json::UInt(sh.cancelled)),
+                    ("failed_attempts", Json::UInt(sh.failed_attempts)),
+                    ("hedges_launched", Json::UInt(sh.hedges_launched)),
+                    ("breaker_trips", Json::UInt(sh.breaker_trips)),
+                    ("breaker_state", Json::Str(sh.breaker_state.clone())),
+                    ("max_queue_depth", Json::UInt(sh.max_queue_depth as u64)),
+                    ("lifecycle", Json::Str(sh.lifecycle.clone())),
+                    ("rejoins", Json::UInt(sh.rejoins)),
+                ];
+                if let Some(h) = &sh.health {
+                    pairs.push(("health", health_json(h)));
+                }
+                Json::obj(pairs)
+            })
             .collect();
         let mut pairs = vec![
             ("scenario", Json::Str(self.name.to_string())),
-            ("requests", Json::UInt(self.requests as u64)),
+            ("requests", Json::UInt(self.workload.len() as u64)),
             ("completed", Json::UInt(r.completed())),
             (
                 "completed_by_tier",
@@ -268,8 +297,29 @@ impl ScenarioRow {
             ("timed_out", Json::UInt(r.timed_out)),
             ("failed", Json::UInt(r.failed)),
             ("breaker_rejected", Json::UInt(r.breaker_rejected)),
-            ("breaker_trips", Json::UInt(r.breaker_trips)),
             ("retries", Json::UInt(r.retries)),
+            ("failovers", Json::UInt(r.failovers)),
+            ("hedges_launched", Json::UInt(r.hedges_launched)),
+            ("hedges_won", Json::UInt(r.hedges_won)),
+            ("hedges_cancelled", Json::UInt(r.hedges_cancelled)),
+            ("hedges_adopted", Json::UInt(r.hedges_adopted)),
+            ("hedges_failed", Json::UInt(r.hedges_failed)),
+            ("hedges_skipped", Json::UInt(r.hedges_skipped)),
+            ("hedge_wasted_cycles", Json::UInt(r.hedge_wasted_cycles)),
+            (
+                "recovery",
+                Json::obj(vec![
+                    ("downs", Json::UInt(r.recovery.downs)),
+                    ("restarts_attempted", Json::UInt(r.recovery.restarts_attempted)),
+                    ("restarts_failed", Json::UInt(r.recovery.restarts_failed)),
+                    ("rejoins", Json::UInt(r.recovery.rejoins)),
+                    ("promotions", Json::UInt(r.recovery.promotions)),
+                    ("probation_retries", Json::UInt(r.recovery.probation_retries)),
+                    ("replayed_inflight", Json::UInt(r.recovery.replayed_inflight)),
+                    ("replayed_queued", Json::UInt(r.recovery.replayed_queued)),
+                    ("replay_cycles", Json::UInt(r.recovery.replay_cycles)),
+                ]),
+            ),
             ("max_queue_depth", Json::UInt(r.max_queue_depth as u64)),
             ("p50_ticks", Json::UInt(r.latency_percentile(50.0))),
             ("p95_ticks", Json::UInt(r.latency_percentile(95.0))),
@@ -278,30 +328,42 @@ impl ScenarioRow {
             ("window_p99_ticks", Json::UInt(self.window_p99)),
             ("horizon_ticks", Json::UInt(r.horizon)),
             ("attribution", Json::Obj(attribution)),
+            ("shards", Json::Arr(shards)),
         ];
         if let Some(h) = &r.health {
-            pairs.push((
-                "health",
-                Json::obj(vec![
-                    ("verdict", Json::Str(h.verdict().label().to_string())),
-                    ("windows", Json::UInt(h.closed_windows())),
-                    ("breaches", Json::UInt(h.breaches())),
-                    ("recoveries", Json::UInt(h.recoveries())),
-                    ("incidents", Json::UInt(h.incidents.len() as u64)),
-                    ("transitions", Json::UInt(h.transitions.len() as u64)),
-                ]),
-            ));
+            pairs.push(("fleet_health", health_json(h)));
         }
         Json::obj(pairs)
     }
 }
 
+/// The column header [`print_row`] fills.
+fn row_header() -> String {
+    format!(
+        "{:>24} | {:>4} | {:>5} {:>5} {:>4} {:>5} {:>4} {:>5} | {:>5} | {:>4} {:>6} {:>4} | {:>8} {:>8}",
+        "scenario",
+        "reqs",
+        "done",
+        "degr",
+        "shed",
+        "tout",
+        "fail",
+        "brkr",
+        "depth",
+        "fo",
+        "hedge",
+        "won",
+        "p95",
+        "p99"
+    )
+}
+
 fn print_row(row: &ScenarioRow) {
     let r = &row.report;
     println!(
-        "{:>16} | {:>4} | {:>5} {:>5} {:>4} {:>5} {:>4} {:>5} | {:>5} | {:>8} {:>8}",
+        "{:>24} | {:>4} | {:>5} {:>5} {:>4} {:>5} {:>4} {:>5} | {:>5} | {:>4} {:>6} {:>4} | {:>8} {:>8}",
         row.name,
-        row.requests,
+        row.workload.len(),
         r.completed(),
         r.degraded(),
         r.shed,
@@ -309,6 +371,9 @@ fn print_row(row: &ScenarioRow) {
         r.failed,
         r.breaker_rejected,
         r.max_queue_depth,
+        r.failovers,
+        r.hedges_launched,
+        r.hedges_won,
         r.latency_percentile(95.0),
         r.latency_percentile(99.0),
     );
@@ -365,10 +430,6 @@ fn fleet_config(s: u64, estimates: &[u64], fleet_slos: Vec<Objective>) -> FleetC
     }
 }
 
-fn fleet_backends() -> Vec<Box<dyn Backend>> {
-    (0..REPLICAS).map(|_| Box::new(backend()) as Box<dyn Backend>).collect()
-}
-
 /// Uniform-arrival fleet trace with the given spacing. Spacing `s/2`
 /// puts aggregate demand at 2x one replica's capacity (far past a
 /// single server, comfortable for three); spacing `s` is steady demand
@@ -419,120 +480,6 @@ fn kill_seed(want_down: usize, window_end: u64, with_brownout: bool) -> (u64, Ve
     unreachable!("no seed under 128 downs exactly {want_down} of {REPLICAS} replicas")
 }
 
-struct FleetRow {
-    name: &'static str,
-    /// The replica-chaos site armed for this storm ("" when clean).
-    site: &'static str,
-    requests: usize,
-    /// The arrival trace the storm answered (for event-record
-    /// deadlines).
-    workload: Vec<Request>,
-    report: sc_serve::FleetReport,
-}
-
-impl FleetRow {
-    fn to_json(&self) -> Json {
-        let r = &self.report;
-        let health_json = |h: &sc_serve::HealthReport| {
-            Json::obj(vec![
-                ("verdict", Json::Str(h.verdict().label().to_string())),
-                ("windows", Json::UInt(h.closed_windows())),
-                ("breaches", Json::UInt(h.breaches())),
-                ("recoveries", Json::UInt(h.recoveries())),
-                ("incidents", Json::UInt(h.incidents.len() as u64)),
-            ])
-        };
-        let shards = r
-            .shards
-            .iter()
-            .enumerate()
-            .map(|(i, sh)| {
-                let mut pairs = vec![
-                    ("replica", Json::UInt(i as u64)),
-                    ("dispatched", Json::UInt(sh.dispatched)),
-                    ("completed", Json::UInt(sh.completed)),
-                    ("cancelled", Json::UInt(sh.cancelled)),
-                    ("failed_attempts", Json::UInt(sh.failed_attempts)),
-                    ("hedges_launched", Json::UInt(sh.hedges_launched)),
-                    ("breaker_trips", Json::UInt(sh.breaker_trips)),
-                    ("breaker_state", Json::Str(sh.breaker_state.clone())),
-                    ("max_queue_depth", Json::UInt(sh.max_queue_depth as u64)),
-                    ("lifecycle", Json::Str(sh.lifecycle.clone())),
-                    ("rejoins", Json::UInt(sh.rejoins)),
-                ];
-                if let Some(h) = &sh.health {
-                    pairs.push(("health", health_json(h)));
-                }
-                Json::obj(pairs)
-            })
-            .collect();
-        let mut pairs = vec![
-            ("scenario", Json::Str(self.name.to_string())),
-            ("requests", Json::UInt(self.requests as u64)),
-            ("completed", Json::UInt(r.completed())),
-            (
-                "completed_by_tier",
-                Json::Arr(r.completed_by_tier.iter().map(|&c| Json::UInt(c)).collect()),
-            ),
-            ("degraded", Json::UInt(r.degraded())),
-            ("shed", Json::UInt(r.shed)),
-            ("timed_out", Json::UInt(r.timed_out)),
-            ("failed", Json::UInt(r.failed)),
-            ("breaker_rejected", Json::UInt(r.breaker_rejected)),
-            ("retries", Json::UInt(r.retries)),
-            ("failovers", Json::UInt(r.failovers)),
-            ("hedges_launched", Json::UInt(r.hedges_launched)),
-            ("hedges_won", Json::UInt(r.hedges_won)),
-            ("hedges_cancelled", Json::UInt(r.hedges_cancelled)),
-            ("hedges_adopted", Json::UInt(r.hedges_adopted)),
-            ("hedges_failed", Json::UInt(r.hedges_failed)),
-            ("hedges_skipped", Json::UInt(r.hedges_skipped)),
-            ("hedge_wasted_cycles", Json::UInt(r.hedge_wasted_cycles)),
-            (
-                "recovery",
-                Json::obj(vec![
-                    ("downs", Json::UInt(r.recovery.downs)),
-                    ("restarts_attempted", Json::UInt(r.recovery.restarts_attempted)),
-                    ("restarts_failed", Json::UInt(r.recovery.restarts_failed)),
-                    ("rejoins", Json::UInt(r.recovery.rejoins)),
-                    ("promotions", Json::UInt(r.recovery.promotions)),
-                    ("probation_retries", Json::UInt(r.recovery.probation_retries)),
-                    ("replayed_inflight", Json::UInt(r.recovery.replayed_inflight)),
-                    ("replayed_queued", Json::UInt(r.recovery.replayed_queued)),
-                    ("replay_cycles", Json::UInt(r.recovery.replay_cycles)),
-                ]),
-            ),
-            ("max_queue_depth", Json::UInt(r.max_queue_depth as u64)),
-            ("p50_ticks", Json::UInt(r.latency_percentile(50.0))),
-            ("p99_ticks", Json::UInt(r.latency_percentile(99.0))),
-            ("horizon_ticks", Json::UInt(r.horizon)),
-            ("shards", Json::Arr(shards)),
-        ];
-        if let Some(h) = &r.health {
-            pairs.push(("fleet_health", health_json(h)));
-        }
-        Json::obj(pairs)
-    }
-}
-
-fn print_fleet_row(row: &FleetRow) {
-    let r = &row.report;
-    println!(
-        "{:>18} | {:>4} | {:>5} {:>5} {:>4} {:>5} {:>4} | {:>4} {:>6} {:>4} | {:>8}",
-        row.name,
-        row.requests,
-        r.completed(),
-        r.degraded(),
-        r.shed,
-        r.timed_out,
-        r.failed,
-        r.failovers,
-        r.hedges_launched,
-        r.hedges_won,
-        r.latency_percentile(99.0),
-    );
-}
-
 /// The sharded-fleet storms: clean scale-out, minority kill (fleet SLO
 /// green through failover + hedging), majority kill (degradation,
 /// per-shard incidents, clean recovery), a flap storm, and the three
@@ -544,7 +491,7 @@ fn fleet_storms(
     s: u64,
     quick: bool,
     ambient_clean: bool,
-) -> Vec<FleetRow> {
+) -> Vec<ScenarioRow> {
     let fleet_n: u64 = if quick { 60 } else { 150 };
     // The surge trace overloads a single server 2x; the steady trace is
     // what the chaos storms run on — load the fleet holds comfortably,
@@ -561,27 +508,22 @@ fn fleet_storms(
     ctx.config("fleet_requests", fleet_n);
 
     println!("\nfleet storms: {REPLICAS} replicas, chaos window 0..{window_end} ticks");
-    let header = format!(
-        "{:>18} | {:>4} | {:>5} {:>5} {:>4} {:>5} {:>4} | {:>4} {:>6} {:>4} | {:>8}",
-        "scenario", "reqs", "done", "degr", "shed", "tout", "fail", "fo", "hedge", "won", "p99"
-    );
+    let header = row_header();
     println!("{header}");
     cli::rule(&header);
 
-    let mut rows: Vec<FleetRow> = Vec::new();
+    let mut rows: Vec<ScenarioRow> = Vec::new();
 
     // Scale-out: the same 2x-single-capacity trace through one server,
     // then through the fleet. Three replicas must absorb what drowns one.
-    let single = Server::new(protected_config()).run(&mut backend(), surge.clone());
-    let report = Fleet::new(fleet_config(s, &estimates, fleet_objectives(s)))
-        .run(&mut fleet_backends(), surge.clone());
-    let row = FleetRow {
-        name: "fleet-scale-out",
-        site: "",
-        requests: surge.len(),
-        workload: surge.clone(),
-        report,
-    };
+    let single = Fleet::new(one_replica(protected_config())).run(&mut backends(1), surge.clone());
+    let row = run_scenario(
+        "fleet-scale-out",
+        "",
+        fleet_config(s, &estimates, fleet_objectives(s)),
+        &mut backends(REPLICAS),
+        surge.clone(),
+    );
     assert_eq!(row.report.responses.len(), surge.len(), "every request finalized exactly once");
     if ambient_clean {
         assert!(
@@ -595,7 +537,7 @@ fn fleet_storms(
         assert_eq!(fh.breaches(), 0);
     }
     rows.push(row);
-    print_fleet_row(rows.last().unwrap());
+    print_row(rows.last().unwrap());
 
     // Minority kill: exactly one replica crashes for the first half of
     // the storm, and at least one survivor browns out (4x cycles) — the
@@ -603,21 +545,20 @@ fn fleet_storms(
     // green the whole way: failover routes around the corpse, hedges
     // race the brownout.
     let (seed, down) = kill_seed(1, window_end, true);
-    let report = {
+    let row = {
         let _g = sc_fault::scoped(
             sc_fault::FaultPlan::parse(&kill_spec(seed, window_end, true)).expect("valid spec"),
         );
-        Fleet::new(fleet_config(s, &estimates, fleet_objectives(s)))
-            .run(&mut fleet_backends(), steady.clone())
+        run_scenario(
+            "fleet-minority-kill",
+            sc_serve::sites::REPLICA_CRASH,
+            fleet_config(s, &estimates, fleet_objectives(s)),
+            &mut backends(REPLICAS),
+            steady.clone(),
+        )
     };
-    rows.push(FleetRow {
-        name: "fleet-minority-kill",
-        site: sc_serve::sites::REPLICA_CRASH,
-        requests: steady.len(),
-        workload: steady.clone(),
-        report,
-    });
-    print_fleet_row(rows.last().unwrap());
+    rows.push(row);
+    print_row(rows.last().unwrap());
     let row = rows.last().unwrap();
     let fh = row.report.health.as_ref().expect("fleet monitored");
     assert_eq!(
@@ -638,21 +579,20 @@ fn fleet_storms(
     // the fleet monitor breaches, the flight recorders freeze fleet and
     // shard snapshots, and the verdict recovers once the window closes.
     let (seed, down) = kill_seed(2, window_end, false);
-    let report = {
+    let row = {
         let _g = sc_fault::scoped(
             sc_fault::FaultPlan::parse(&kill_spec(seed, window_end, false)).expect("valid spec"),
         );
-        Fleet::new(fleet_config(s, &estimates, strict_fleet_objectives(s)))
-            .run(&mut fleet_backends(), steady.clone())
+        run_scenario(
+            "fleet-majority-kill",
+            sc_serve::sites::REPLICA_CRASH,
+            fleet_config(s, &estimates, strict_fleet_objectives(s)),
+            &mut backends(REPLICAS),
+            steady.clone(),
+        )
     };
-    rows.push(FleetRow {
-        name: "fleet-majority-kill",
-        site: sc_serve::sites::REPLICA_CRASH,
-        requests: steady.len(),
-        workload: steady.clone(),
-        report,
-    });
-    print_fleet_row(rows.last().unwrap());
+    rows.push(row);
+    print_row(rows.last().unwrap());
     let row = rows.last().unwrap();
     let fh = row.report.health.as_ref().expect("fleet monitored");
     assert!(fh.breaches() >= 1, "losing 2 of 3 replicas must breach the strict fleet SLO");
@@ -682,24 +622,23 @@ fn fleet_storms(
     // Flap storm: the up/down draw re-keys every flap epoch, so replicas
     // bounce between healthy and dead across the window. Everything must
     // still finalize exactly once with bounded queues.
-    let report = {
+    let row = {
         let _g = sc_fault::scoped(
             sc_fault::FaultPlan::parse(&format!(
                 "serve.replica.flap:flip@0.5@0..{window_end};seed=6"
             ))
             .expect("valid spec"),
         );
-        Fleet::new(fleet_config(s, &estimates, fleet_objectives(s)))
-            .run(&mut fleet_backends(), steady.clone())
+        run_scenario(
+            "fleet-flap",
+            sc_serve::sites::REPLICA_FLAP,
+            fleet_config(s, &estimates, fleet_objectives(s)),
+            &mut backends(REPLICAS),
+            steady.clone(),
+        )
     };
-    rows.push(FleetRow {
-        name: "fleet-flap",
-        site: sc_serve::sites::REPLICA_FLAP,
-        requests: steady.len(),
-        workload: steady.clone(),
-        report,
-    });
-    print_fleet_row(rows.last().unwrap());
+    rows.push(row);
+    print_row(rows.last().unwrap());
     let row = rows.last().unwrap();
     assert_eq!(row.report.responses.len(), steady.len(), "every request finalized exactly once");
     assert!(row.report.failovers >= 1, "flapping replicas must force failovers");
@@ -726,16 +665,14 @@ fn fleet_storms(
     // fleet SLO must hold green the whole way.
     let restarts: Vec<PlannedRestart> =
         (0..REPLICAS).map(|r| PlannedRestart { at: (10 + 8 * r as u64) * s, replica: r }).collect();
-    let report = Fleet::new(recovery_config(fleet_objectives(s), restarts))
-        .run(&mut fleet_backends(), steady.clone());
-    rows.push(FleetRow {
-        name: "fleet-rolling-restart",
-        site: "",
-        requests: steady.len(),
-        workload: steady.clone(),
-        report,
-    });
-    print_fleet_row(rows.last().unwrap());
+    rows.push(run_scenario(
+        "fleet-rolling-restart",
+        "",
+        recovery_config(fleet_objectives(s), restarts),
+        &mut backends(REPLICAS),
+        steady.clone(),
+    ));
+    print_row(rows.last().unwrap());
     let row = rows.last().unwrap();
     let rec = row.report.recovery;
     assert_eq!(rec.downs, REPLICAS as u64, "every replica must go down exactly once");
@@ -788,19 +725,18 @@ fn fleet_storms(
         })
         .expect("a seed under 128 downs exactly one replica with strandable work");
     let loop_spec = format!("serve.replica.crash:flip@0.5@{loop_start}..{window_end};seed={seed}");
-    let report = {
+    let row = {
         let _g = sc_fault::scoped(sc_fault::FaultPlan::parse(&loop_spec).expect("valid spec"));
-        Fleet::new(recovery_config(fleet_objectives(s), Vec::new()))
-            .run(&mut fleet_backends(), surge.clone())
+        run_scenario(
+            "fleet-crash-restart-loop",
+            sc_serve::sites::REPLICA_CRASH,
+            recovery_config(fleet_objectives(s), Vec::new()),
+            &mut backends(REPLICAS),
+            surge.clone(),
+        )
     };
-    rows.push(FleetRow {
-        name: "fleet-crash-restart-loop",
-        site: sc_serve::sites::REPLICA_CRASH,
-        requests: surge.len(),
-        workload: surge.clone(),
-        report,
-    });
-    print_fleet_row(rows.last().unwrap());
+    rows.push(row);
+    print_row(rows.last().unwrap());
     let row = rows.last().unwrap();
     let rec = row.report.recovery;
     assert!(
@@ -847,23 +783,19 @@ fn fleet_storms(
             (lead >= 2).then_some((seed, lead))
         })
         .expect("a seed under 128 blocks the first two restart attempts");
-    let report = {
+    let row = {
         let _g =
             sc_fault::scoped(sc_fault::FaultPlan::parse(&fail_spec(seed)).expect("valid spec"));
-        Fleet::new(recovery_config(
-            fleet_objectives(s),
-            vec![PlannedRestart { at: 6 * s, replica: 0 }],
-        ))
-        .run(&mut fleet_backends(), steady.clone())
+        run_scenario(
+            "fleet-restart-fail",
+            sc_serve::sites::RESTART_FAIL,
+            recovery_config(fleet_objectives(s), vec![PlannedRestart { at: 6 * s, replica: 0 }]),
+            &mut backends(REPLICAS),
+            steady.clone(),
+        )
     };
-    rows.push(FleetRow {
-        name: "fleet-restart-fail",
-        site: sc_serve::sites::RESTART_FAIL,
-        requests: steady.len(),
-        workload: steady.clone(),
-        report,
-    });
-    print_fleet_row(rows.last().unwrap());
+    rows.push(row);
+    print_row(rows.last().unwrap());
     let row = rows.last().unwrap();
     let rec = row.report.recovery;
     assert_eq!(rec.restarts_failed, lead, "seed {seed}: the first {lead} attempts must fail");
@@ -911,7 +843,7 @@ fn fleet_storms(
     let run_scoped = |spec: &str| {
         let _g = sc_fault::scoped(sc_fault::FaultPlan::parse(spec).expect("valid spec"));
         Fleet::new(fleet_config(s, &estimates, fleet_objectives(s)))
-            .run(&mut fleet_backends(), steady.clone())
+            .run(&mut backends(REPLICAS), steady.clone())
             .fingerprint()
     };
     assert_eq!(
@@ -1119,10 +1051,7 @@ fn run(ctx: &mut sc_telemetry::BenchCtx) {
     ctx.config("shed_policy", ShedPolicy::ShedByDeadline.name());
     println!("full-precision service time: {s} ticks; queue capacity {QUEUE_CAPACITY}\n");
 
-    let header = format!(
-        "{:>16} | {:>4} | {:>5} {:>5} {:>4} {:>5} {:>4} {:>5} | {:>5} | {:>8} {:>8}",
-        "scenario", "reqs", "done", "degr", "shed", "tout", "fail", "brkr", "depth", "p95", "p99"
-    );
+    let header = row_header();
     println!("{header}");
     cli::rule(&header);
 
@@ -1130,25 +1059,39 @@ fn run(ctx: &mut sc_telemetry::BenchCtx) {
 
     // Ramp: the ladder engages as load crosses saturation.
     let ramp = ramp_trace(ramp_n, s);
-    let row =
-        run_scenario("ramp", "", monitored_config(s, clean_objectives(s)), &mut backend(), ramp);
-    assert_eq!(row.report.responses.len(), row.requests, "every request finalized exactly once");
+    let row = run_scenario(
+        "ramp",
+        "",
+        one_replica(monitored_config(s, clean_objectives(s))),
+        &mut backends(1),
+        ramp,
+    );
+    assert_eq!(
+        row.report.responses.len(),
+        row.workload.len(),
+        "every request finalized exactly once"
+    );
     assert!(row.report.max_queue_depth <= QUEUE_CAPACITY, "queue growth is bounded");
     rows.push(row);
     print_row(rows.last().unwrap());
 
     // Spike, naive vs protected. The naive baseline serves unmonitored.
     let spike = spike_trace(background, burst, s);
-    let row =
-        run_scenario("spike-naive", "", naive_config(spike.len()), &mut backend(), spike.clone());
+    let row = run_scenario(
+        "spike-naive",
+        "",
+        one_replica(naive_config(spike.len())),
+        &mut backends(1),
+        spike.clone(),
+    );
     rows.push(row);
     print_row(rows.last().unwrap());
 
     let row = run_scenario(
         "spike-protected",
         "",
-        monitored_config(s, clean_objectives(s)),
-        &mut backend(),
+        one_replica(monitored_config(s, clean_objectives(s))),
+        &mut backends(1),
         spike.clone(),
     );
     assert_eq!(row.report.responses.len(), spike.len());
@@ -1165,13 +1108,13 @@ fn run(ctx: &mut sc_telemetry::BenchCtx) {
         run_scenario(
             "spike-faulted",
             "serve.backend",
-            monitored_config(s, faulted_objectives(s)),
-            &mut backend(),
+            one_replica(monitored_config(s, faulted_objectives(s))),
+            &mut backends(1),
             spike.clone(),
         )
     };
     assert!(row.report.retries > 0, "a mostly-dead backend must drive retries");
-    assert!(row.report.breaker_trips >= 1, "sustained failures must trip the breaker");
+    assert!(row.report.shards[0].breaker_trips >= 1, "sustained failures must trip the breaker");
     rows.push(row);
     print_row(rows.last().unwrap());
 
@@ -1183,7 +1126,7 @@ fn run(ctx: &mut sc_telemetry::BenchCtx) {
     let health_of = |name: &str| {
         rows.iter()
             .find(|r| r.name == name)
-            .and_then(|r| r.report.health.as_ref())
+            .and_then(|r| r.report.shards[0].health.as_ref())
             .unwrap_or_else(|| panic!("{name} ran with monitoring enabled"))
     };
     let fh = health_of("spike-faulted");
@@ -1271,8 +1214,8 @@ fn run(ctx: &mut sc_telemetry::BenchCtx) {
     // including the health report, which rides in the fingerprint.
     let run_scoped = |spec: &str| {
         let _g = sc_fault::scoped(sc_fault::FaultPlan::parse(spec).expect("valid spec"));
-        Server::new(monitored_config(s, faulted_objectives(s)))
-            .run(&mut backend(), spike.clone())
+        Fleet::new(one_replica(monitored_config(s, faulted_objectives(s))))
+            .run(&mut backends(1), spike.clone())
             .fingerprint()
     };
     assert_eq!(
@@ -1296,15 +1239,8 @@ fn run(ctx: &mut sc_telemetry::BenchCtx) {
     // trace seed, written to `results/obs/` with its folded-stack cycle
     // profile.
     let mut obs = ObsLog::new("serve_storm", ObsConfig::new(OBS_WINDOW, OBS_SEED));
-    for row in &rows {
-        let idx = obs.scenario(row.name, row.site, 1);
-        obs.ingest(idx, &row.report.event_records(TRACE_SEED, &row.workload));
-        for tree in &row.report.traces {
-            obs.fold_tree(idx, tree);
-        }
-    }
-    for row in &frows {
-        let idx = obs.scenario(row.name, row.site, REPLICAS as u64);
+    for row in rows.iter().chain(&frows) {
+        let idx = obs.scenario(row.name, row.site, row.report.shards.len() as u64);
         obs.ingest(idx, &row.report.event_records(TRACE_SEED, &row.workload));
         obs.fold(idx, &row.report.folded);
     }
@@ -1360,23 +1296,23 @@ fn run(ctx: &mut sc_telemetry::BenchCtx) {
     let write_incident = |ctx: &mut sc_telemetry::BenchCtx,
                           index: &mut Vec<Json>,
                           scenario: &str,
+                          single: bool,
                           shard: Option<usize>,
                           inc: &sc_health::IncidentSnapshot| {
-        let fleet_scenario = scenario.starts_with("fleet");
-        let owner = match shard {
-            Some(i) => format!("shard{i}"),
-            None if fleet_scenario => "fleet".to_string(),
-            None => "server".to_string(),
-        };
-        // Single-server scenarios have no shard dimension; fleet
+        // A one-replica scenario is a single server: its one shard
+        // monitor is "the server", with no shard dimension. Fleet
         // scenarios name the owning monitor explicitly.
-        let stem =
-            if fleet_scenario { format!("{scenario}-{owner}") } else { scenario.to_string() };
+        let owner = match shard {
+            _ if single => "server".to_string(),
+            Some(i) => format!("shard{i}"),
+            None => "fleet".to_string(),
+        };
+        let stem = if single { scenario.to_string() } else { format!("{scenario}-{owner}") };
         let seq = index.len(); // global run order
         let file = format!("{stem}-{seq:02}.json");
         let path = incidents_dir.join(&file);
         let mut pairs = vec![("scenario", Json::Str(scenario.to_string()))];
-        if fleet_scenario {
+        if !single {
             pairs.push((
                 "shard",
                 match shard {
@@ -1406,15 +1342,10 @@ fn run(ctx: &mut sc_telemetry::BenchCtx) {
             ("exemplar_traces", Json::Arr(exemplars)),
         ]));
     };
-    for row in &rows {
-        let Some(h) = &row.report.health else { continue };
-        for inc in &h.incidents {
-            write_incident(ctx, &mut index, row.name, None, inc);
-        }
-    }
-    // Fleet flight recorders: the fleet monitor's incidents plus every
+    // Every flight recorder: the fleet monitor's incidents plus every
     // shard monitor's, tagged with the owning shard.
-    for row in &frows {
+    for row in rows.iter().chain(&frows) {
+        let single = row.report.shards.len() == 1;
         let mut sources: Vec<(Option<usize>, &sc_serve::HealthReport)> = Vec::new();
         if let Some(h) = &row.report.health {
             sources.push((None, h));
@@ -1426,7 +1357,7 @@ fn run(ctx: &mut sc_telemetry::BenchCtx) {
         }
         for (shard, h) in sources {
             for inc in &h.incidents {
-                write_incident(ctx, &mut index, row.name, shard, inc);
+                write_incident(ctx, &mut index, row.name, single, shard, inc);
             }
         }
     }
@@ -1444,7 +1375,7 @@ fn run(ctx: &mut sc_telemetry::BenchCtx) {
     let json = Json::obj(vec![
         ("service_ticks", Json::UInt(s)),
         ("scenarios", Json::Arr(rows.iter().map(ScenarioRow::to_json).collect())),
-        ("fleet_scenarios", Json::Arr(frows.iter().map(FleetRow::to_json).collect())),
+        ("fleet_scenarios", Json::Arr(frows.iter().map(ScenarioRow::to_json).collect())),
         (
             "obs",
             Json::obj(vec![

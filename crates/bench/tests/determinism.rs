@@ -38,6 +38,58 @@ fn with_threads<F: FnMut() -> Vec<u64>>(label: &str, mut f: F) {
     sc_par::set_threads(0);
 }
 
+/// Serves `requests` through a one-replica fleet — the single-server
+/// configuration of the serving loop.
+fn serve_one(
+    config: sc_serve::ServerConfig,
+    backend: sc_serve::AccelBackend,
+    requests: Vec<sc_serve::Request>,
+) -> sc_serve::FleetReport {
+    let fleet = sc_serve::Fleet::new(sc_serve::FleetConfig {
+        server: config,
+        replicas: 1,
+        ..sc_serve::FleetConfig::default()
+    });
+    fleet.run(&mut [Box::new(backend) as Box<dyn sc_serve::Backend>], requests)
+}
+
+/// FNV digest over a one-replica report's aggregates, every response
+/// and every span tree (health excluded), in the word order of the
+/// dedicated single-server report that preceded the one-replica fleet.
+/// The serve tests below pin it to the values that server produced.
+fn single_server_digest(r: &sc_serve::FleetReport) -> u64 {
+    let mut fp = vec![
+        r.shed,
+        r.timed_out,
+        r.breaker_rejected,
+        r.failed,
+        r.retries,
+        r.shards[0].breaker_trips,
+        r.max_queue_depth as u64,
+        r.horizon,
+    ];
+    fp.extend(&r.completed_by_tier);
+    for resp in &r.responses {
+        let tier = match resp.outcome {
+            sc_serve::Outcome::Completed { tier } => tier as u64,
+            _ => u64::MAX,
+        };
+        fp.extend([
+            resp.id,
+            resp.outcome.code(),
+            tier,
+            resp.attempts as u64,
+            resp.finished_at,
+            resp.latency,
+        ]);
+        fp.extend(resp.attribution.fingerprint());
+    }
+    for t in &r.traces {
+        fp.extend(t.fingerprint());
+    }
+    sc_health::slo::digest(&fp)
+}
+
 fn conv_input() -> Tensor {
     Tensor::new((0..3 * 9 * 9).map(|i| ((i as f32) * 0.37).sin() * 0.8).collect(), &[3, 9, 9])
 }
@@ -171,7 +223,7 @@ fn accel_layer_under_faults_identical_across_thread_counts() {
 fn serve_layer_identical_across_thread_counts() {
     use sc_serve::{
         AccelBackend, AccelPayload, BreakerConfig, DegradePolicy, DegradeTier, Request,
-        RetryPolicy, Server, ServerConfig, ShedPolicy,
+        RetryPolicy, ServerConfig, ShedPolicy,
     };
     let n = Precision::new(8).unwrap();
     let geometry = ConvGeometry { z: 2, in_h: 7, in_w: 7, m: 3, k: 3, stride: 1 };
@@ -212,26 +264,30 @@ fn serve_layer_identical_across_thread_counts() {
         ..ServerConfig::default()
     };
     // Scoped inside the closure: armed only while THREADS_LOCK is held.
-    let run_with = |spec: &str| {
+    // Each run also asserts the digest the single-server loop pinned for
+    // this workload and plan.
+    let run_with = |spec: &str, pinned: u64| {
         let _s = sc_fault::scoped(sc_fault::FaultPlan::parse(spec).unwrap());
-        Server::new(config()).run(&mut backend(), trace.clone()).fingerprint()
+        let report = serve_one(config(), backend(), trace.clone());
+        assert_eq!(single_server_digest(&report), pinned, "plan {spec:?}");
+        report.fingerprint()
     };
     let mut clean: Option<Vec<u64>> = None;
     with_threads("serve unarmed", || {
-        let fp = run_with("");
+        let fp = run_with("", 0xca616d9cc988beef);
         clean.get_or_insert_with(|| fp.clone());
         fp
     });
     let clean = clean.unwrap();
     with_threads("serve zero-rate", || {
-        let fp = run_with("serve.backend:flip@0;seed=4");
+        let fp = run_with("serve.backend:flip@0;seed=4", 0xca616d9cc988beef);
         assert_eq!(fp, clean, "zero-rate serve plan must be bitwise identical to unarmed");
         fp
     });
     // Injected backend faults drive the retry/backoff/breaker ladder;
     // the whole response trace must still be bitwise reproducible.
     with_threads("serve faulted", || {
-        run_with("serve.backend:flip@0.3;accel.sram.input:flip@0.005;seed=4")
+        run_with("serve.backend:flip@0.3;accel.sram.input:flip@0.005;seed=4", 0xc50c35bae9877b5a)
     });
 }
 
@@ -244,7 +300,7 @@ fn serve_layer_identical_across_thread_counts() {
 fn span_trees_and_attribution_identical_and_exact_across_thread_counts() {
     use sc_serve::{
         AccelBackend, AccelPayload, BreakerConfig, DegradePolicy, DegradeTier, Request,
-        RetryPolicy, Server, ServerConfig, ShedPolicy,
+        RetryPolicy, ServerConfig, ShedPolicy,
     };
     use sc_telemetry::TraceId;
     let n = Precision::new(8).unwrap();
@@ -285,9 +341,10 @@ fn span_trees_and_attribution_identical_and_exact_across_thread_counts() {
     // divergence here is unambiguously a tracing bug (not a scheduling
     // one); validity and the sum-to-latency invariant are asserted on
     // every run along the way.
-    let run_with = |spec: &str| {
+    let run_with = |spec: &str, pinned: u64| {
         let _s = sc_fault::scoped(sc_fault::FaultPlan::parse(spec).unwrap());
-        let report = Server::new(config()).run(&mut backend(), trace.clone());
+        let report = serve_one(config(), backend(), trace.clone());
+        assert_eq!(single_server_digest(&report), pinned, "plan {spec:?}");
         assert_eq!(report.traces.len(), report.responses.len());
         let mut fp = Vec::new();
         for (resp, tree) in report.responses.iter().zip(&report.traces) {
@@ -305,8 +362,10 @@ fn span_trees_and_attribution_identical_and_exact_across_thread_counts() {
         }
         fp
     };
-    with_threads("span trees clean", || run_with(""));
-    with_threads("span trees faulted", || run_with("serve.backend:flip@0.3;seed=11"));
+    with_threads("span trees clean", || run_with("", 0x847f170f9770c34a));
+    with_threads("span trees faulted", || {
+        run_with("serve.backend:flip@0.3;seed=11", 0x95321462b4eeb6ff)
+    });
 }
 
 /// The live-health contract: the windowed time series, every SLO
@@ -317,8 +376,7 @@ fn span_trees_and_attribution_identical_and_exact_across_thread_counts() {
 fn health_windows_and_incidents_identical_across_thread_counts() {
     use sc_health::{HealthConfig, Objective};
     use sc_serve::{
-        AccelBackend, AccelPayload, BreakerConfig, Request, RetryPolicy, Server, ServerConfig,
-        ShedPolicy,
+        AccelBackend, AccelPayload, BreakerConfig, Request, RetryPolicy, ServerConfig, ShedPolicy,
     };
     let n = Precision::new(8).unwrap();
     let geometry = ConvGeometry { z: 2, in_h: 7, in_w: 7, m: 3, k: 3, stride: 1 };
@@ -362,17 +420,26 @@ fn health_windows_and_incidents_identical_across_thread_counts() {
     // The fingerprint covers only the health report (series, objective
     // states, signal cycle stamps, incidents, floor transitions), so a
     // divergence here is unambiguously a health-telemetry bug.
-    let run_with = |spec: &str| {
+    //
+    // Each run also asserts the digests the single-server loop pinned for
+    // this workload and plan: the report's, and the health report's. The
+    // faulted health digest was pinned with that loop's breaker-trip
+    // note relabelled `trips=N` -> `replica=0 trips=N`, the only
+    // difference a one-replica fleet makes to it.
+    let run_with = |spec: &str, pinned: u64, pinned_health: u64| {
         let _s = sc_fault::scoped(sc_fault::FaultPlan::parse(spec).unwrap());
-        let report = Server::new(config()).run(&mut backend(), trace.clone());
-        let health = report.health.expect("monitoring enabled");
+        let mut report = serve_one(config(), backend(), trace.clone());
+        assert_eq!(single_server_digest(&report), pinned, "plan {spec:?}");
+        let health = report.shards[0].health.take().expect("monitoring enabled");
+        assert_eq!(health.digest(), pinned_health, "plan {spec:?}");
         let mut fp = health.fingerprint();
         fp.push(health.digest());
         (health, fp)
     };
-    with_threads("health clean", || run_with("").1);
+    with_threads("health clean", || run_with("", 0xaf28402543531bf3, 0xfecdc3a05d6cd89a).1);
     with_threads("health faulted", || {
-        let (health, fp) = run_with("serve.backend:flip@0.8;seed=5");
+        let (health, fp) =
+            run_with("serve.backend:flip@0.8;seed=5", 0x57035f2d242601ca, 0x5398fd9d2ea94a4c);
         // The faulted storm must actually exercise the breach machinery
         // — otherwise the determinism claim here is vacuous.
         assert!(health.breaches() >= 1, "the 80% fault storm must breach an SLO");

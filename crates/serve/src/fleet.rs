@@ -1,11 +1,20 @@
-//! Sharded multi-replica serving fleet.
+//! The deterministic serving loop: a sharded multi-replica fleet.
 //!
-//! [`Fleet::run`] generalizes the single-server loop in [`crate::server`]
-//! to `N` replicated backends behind deterministic placement, per-replica
-//! circuit breakers and health verdicts, deterministic failover, and
-//! hedged requests — all still a pure function of the workload, the
-//! configuration, and the armed fault plan, so the whole fleet storm is
-//! bitwise reproducible at any `SC_THREADS`.
+//! [`Fleet::run`] is a discrete-event simulation on the virtual clock:
+//! time is accelerator cycles, service time is the backend's
+//! data-dependent cycle count, and every decision — placement,
+//! admission, shedding, EDF dispatch, degradation tier, retry backoff,
+//! breaker transition, failover, hedging — is a pure function of the
+//! workload, the configuration, and the armed fault plan, so every run
+//! is bitwise reproducible at any `SC_THREADS`. Each replica dispatches
+//! at most one request at a time (its backend models one accelerator).
+//!
+//! A single server is a one-replica fleet:
+//! `FleetConfig { server, replicas: 1, ..FleetConfig::default() }` has
+//! no failover target, no hedge target and no recovery, so it runs the
+//! plain single-server discipline: completion, then queued-deadline
+//! expiry, then arrivals, then dispatch, with retries re-entering the
+//! queue behind a backoff gate.
 //!
 //! The moving parts:
 //!
@@ -56,7 +65,7 @@ use std::collections::BTreeMap;
 
 use sc_health::{HealthConfig, HealthMonitor, HealthReport, Sample, SpanSummary, SystemState};
 use sc_telemetry::metrics::{counter, Counter};
-use sc_telemetry::{BackendProfile, CycleCategory, EventRecord, FoldedStacks, SpanTree};
+use sc_telemetry::{BackendProfile, CycleCategory, EventRecord, FoldedStacks, SpanTree, TraceId};
 
 use crate::breaker::{BreakerState, CircuitBreaker};
 use crate::clock::VirtualClock;
@@ -268,17 +277,38 @@ impl FleetReport {
     }
 
     /// One observability [`EventRecord`] per response, in finalization
-    /// order: [`crate::report::event_records_of`] with the fleet's
-    /// routing meta (replica, hedging) layered on top. Derived on
-    /// demand so the report never stores a second O(requests) copy.
+    /// order, under the run's trace seed: outcome, timing and attribution
+    /// from the response, deadline slack from the workload it answered,
+    /// routing facts (replica, hedging) from the meta. Derived on demand
+    /// so the report never stores a second O(requests) copy.
     pub fn event_records(&self, trace_seed: u64, requests: &[Request]) -> Vec<EventRecord> {
-        let mut recs = crate::report::event_records_of(trace_seed, &self.responses, requests);
-        for (rec, m) in recs.iter_mut().zip(&self.meta) {
-            rec.replica = m.replica.map(|x| x as u64);
-            rec.hedged = m.hedged;
-            rec.hedge_won = m.hedge_won;
-        }
-        recs
+        let deadlines: BTreeMap<u64, u64> = requests.iter().map(|r| (r.id, r.deadline)).collect();
+        self.responses
+            .iter()
+            .zip(&self.meta)
+            .map(|(r, m)| {
+                let tier = match r.outcome {
+                    Outcome::Completed { tier } => Some(tier as u64),
+                    _ => None,
+                };
+                let deadline = deadlines.get(&r.id).copied().unwrap_or(u64::MAX);
+                EventRecord {
+                    id: r.id,
+                    trace: TraceId::derive(trace_seed, r.id).0,
+                    replica: m.replica.map(|x| x as u64),
+                    tier,
+                    outcome: r.outcome.name().to_string(),
+                    attempts: r.attempts as u64,
+                    hedged: m.hedged,
+                    hedge_won: m.hedge_won,
+                    arrival: r.finished_at - r.latency,
+                    finished_at: r.finished_at,
+                    latency: r.latency,
+                    deadline_slack: deadline as i64 - r.finished_at as i64,
+                    attribution: r.attribution,
+                }
+            })
+            .collect()
     }
 
     /// Flattens the whole report into a `Vec<u64>` for

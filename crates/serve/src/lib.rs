@@ -27,23 +27,31 @@
 //!   streams), the paper-faithful latency/quality dial: Sim & Lee's
 //!   multiplier finishes early at reduced stream length, and the serving
 //!   layer downshifts exactly that knob under pressure;
-//! * [`server`] — the discrete-event serving loop tying it together;
+//! * [`fleet`] — the discrete-event serving loop tying it together:
+//!   `N` replicas behind deterministic placement, failover, hedging and
+//!   recovery. A single server is a one-replica fleet
+//!   (`FleetConfig { server, replicas: 1, ..FleetConfig::default() }`);
+//! * [`server`] — what every replica shares: [`Request`], the
+//!   [`Backend`] trait and the per-replica [`ServerConfig`];
 //! * [`backend`] — [`Backend`] implementations over the tiled
 //!   accelerator ([`AccelBackend`]) and whole-network quantized
 //!   inference ([`NeuralBackend`]);
-//! * [`report`] — per-run outcome accounting and latency percentiles.
+//! * [`report`] — per-request outcome accounting and latency
+//!   percentiles.
 //!
 //! ## Live health telemetry
 //!
-//! [`ServerConfig::health`] arms an [`sc_health`] monitor inside the
-//! serving loop: request finalizations land in tumbling windows on the
-//! virtual clock, declarative SLOs (goodput, p99 latency, error rate)
-//! are evaluated per window with SRE-style dual-window burn rates, and
-//! a breach freezes a flight-recorder incident snapshot *and* raises a
-//! degradation-tier **floor** on top of the occupancy ladder — the
-//! server degrades on burn and recovers only on sustained green. The
-//! full [`sc_health::HealthReport`] rides home on
-//! [`ServeReport::health`].
+//! [`ServerConfig::health`] arms one [`sc_health`] monitor per replica
+//! inside the serving loop: request finalizations land in tumbling
+//! windows on the virtual clock, declarative SLOs (goodput, p99
+//! latency, error rate) are evaluated per window with SRE-style
+//! dual-window burn rates, and a breach freezes a flight-recorder
+//! incident snapshot *and* raises a degradation-tier **floor** on top
+//! of the occupancy ladder — the replica degrades on burn and recovers
+//! only on sustained green. Each
+//! shard's [`sc_health::HealthReport`] rides home on
+//! [`ShardReport::health`]; [`FleetConfig::fleet_health`] adds one
+//! monitor over the whole fleet.
 //!
 //! ## Fault injection
 //!
@@ -87,10 +95,10 @@ pub use hedge::HedgePolicy;
 pub use placement::Placement;
 pub use queue::{AdmissionQueue, ShedPolicy};
 pub use recovery::{PlannedRestart, RecoveryManager, RecoveryPolicy, RecoveryStats, ReplicaPhase};
-pub use report::{Outcome, Response, ServeReport};
+pub use report::{Outcome, Response};
 pub use retry::RetryPolicy;
 pub use sc_health::{HealthConfig, HealthReport, Objective};
-pub use server::{Backend, BackendReply, Request, Server, ServerConfig};
+pub use server::{Backend, BackendReply, Request, ServerConfig};
 
 /// Canonical `sc-fault` site names registered by this crate.
 pub mod sites {

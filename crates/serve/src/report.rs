@@ -1,27 +1,18 @@
-//! Per-run outcome accounting.
+//! Per-request outcome accounting shared by every replica.
 //!
-//! The server finalizes every request exactly once; the report holds the
-//! full response list (finalization order, which is deterministic) plus
-//! the aggregates a load study needs: outcome counts, per-tier
-//! completions, virtual-latency percentiles, and the peak queue depth.
-//! [`ServeReport::fingerprint`] flattens all of it into a `Vec<u64>` for
-//! bitwise-reproducibility assertions.
-//!
-//! Since the tracing PR every response also carries its
-//! [`CycleAttribution`] and the report the full [`SpanTree`] list, both
-//! derived from the [`RequestAcct`] timeline the server keeps per
-//! request.
+//! The serving loop ([`crate::Fleet`]) finalizes every request exactly
+//! once into a [`Response`]: its terminal [`Outcome`], attempts, virtual
+//! latency and [`CycleAttribution`]. The attribution is derived from the
+//! [`RequestAcct`] timeline of [`Segment`]s the loop keeps per request,
+//! replayed into the request's [`sc_telemetry::SpanTree`] at
+//! finalization. [`crate::FleetReport`] aggregates the responses.
 
-use std::collections::BTreeMap;
+use sc_telemetry::{BackendProfile, CycleAttribution};
 
-use sc_health::HealthReport;
-use sc_telemetry::{BackendProfile, CycleAttribution, EventRecord, SpanTree, TraceId};
-
-use crate::server::Request;
-
-/// One accounted slice of a request's lifetime, recorded by the server
-/// as events happen and replayed into a [`SpanTree`] at finalization.
-/// Segments are contiguous on the virtual clock by construction.
+/// One accounted slice of a request's lifetime, recorded by the serving
+/// loop as events happen and replayed into a [`sc_telemetry::SpanTree`]
+/// at finalization. Segments are contiguous on the virtual clock by
+/// construction.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Segment {
     /// Time spent waiting in the admission queue: backoff gate first
@@ -54,7 +45,7 @@ pub enum Segment {
     },
 }
 
-/// The per-request timeline the server accumulates while a request is
+/// The per-request timeline the serving loop accumulates while a request is
 /// alive: the last accounted tick plus the closed segments so far.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RequestAcct {
@@ -137,8 +128,8 @@ pub struct Response {
     pub attribution: CycleAttribution,
 }
 
-/// Nearest-rank percentile over completed responses' latencies, shared
-/// by the single-server and fleet reports.
+/// Nearest-rank percentile (0 < p ≤ 100) over completed responses'
+/// latencies; 0 when nothing completed.
 pub(crate) fn latency_percentile_of(responses: &[Response], p: f64) -> u64 {
     let mut lat: Vec<u64> = responses
         .iter()
@@ -151,130 +142,6 @@ pub(crate) fn latency_percentile_of(responses: &[Response], p: f64) -> u64 {
     lat.sort_unstable();
     let rank = ((p / 100.0) * lat.len() as f64).ceil() as usize;
     lat[rank.clamp(1, lat.len()) - 1]
-}
-
-/// Builds one observability [`EventRecord`] per response (finalization
-/// order) from a response list and the workload it answered, under the
-/// run's trace seed. Replica and hedge facts default to "single
-/// unsharded server"; the fleet report layers its routing meta on top.
-pub fn event_records_of(
-    trace_seed: u64,
-    responses: &[Response],
-    requests: &[Request],
-) -> Vec<EventRecord> {
-    let deadlines: BTreeMap<u64, u64> = requests.iter().map(|r| (r.id, r.deadline)).collect();
-    responses
-        .iter()
-        .map(|r| {
-            let tier = match r.outcome {
-                Outcome::Completed { tier } => Some(tier as u64),
-                _ => None,
-            };
-            let deadline = deadlines.get(&r.id).copied().unwrap_or(u64::MAX);
-            EventRecord {
-                id: r.id,
-                trace: TraceId::derive(trace_seed, r.id).0,
-                replica: None,
-                tier,
-                outcome: r.outcome.name().to_string(),
-                attempts: r.attempts as u64,
-                hedged: false,
-                hedge_won: false,
-                arrival: r.finished_at - r.latency,
-                finished_at: r.finished_at,
-                latency: r.latency,
-                deadline_slack: deadline as i64 - r.finished_at as i64,
-                attribution: r.attribution,
-            }
-        })
-        .collect()
-}
-
-/// Aggregated result of one [`crate::Server::run`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServeReport {
-    /// Every request's terminal record, in finalization order.
-    pub responses: Vec<Response>,
-    /// Completions per degradation tier (index = tier).
-    pub completed_by_tier: Vec<u64>,
-    /// Requests shed at admission.
-    pub shed: u64,
-    /// Requests whose deadline expired.
-    pub timed_out: u64,
-    /// Requests failed fast against an open breaker.
-    pub breaker_rejected: u64,
-    /// Requests that exhausted their retry budget on backend errors.
-    pub failed: u64,
-    /// Retry dispatches performed (attempts beyond each request's
-    /// first).
-    pub retries: u64,
-    /// Times the breaker tripped open.
-    pub breaker_trips: u64,
-    /// Peak admission-queue depth observed.
-    pub max_queue_depth: usize,
-    /// Virtual tick at which the last event was processed.
-    pub horizon: u64,
-    /// One causal span tree per request, in finalization order (same
-    /// order as `responses`).
-    pub traces: Vec<SpanTree>,
-    /// The health monitor's report (window series, SLO verdicts,
-    /// incidents), when [`crate::ServerConfig::health`] enables it.
-    pub health: Option<HealthReport>,
-}
-
-impl ServeReport {
-    /// Total completions across tiers.
-    pub fn completed(&self) -> u64 {
-        self.completed_by_tier.iter().sum()
-    }
-
-    /// Completions at degraded tiers (tier ≥ 1).
-    pub fn degraded(&self) -> u64 {
-        self.completed_by_tier.iter().skip(1).sum()
-    }
-
-    /// The `p`-th percentile (0 < p ≤ 100, nearest-rank) of completed
-    /// requests' virtual latencies; 0 when nothing completed.
-    pub fn latency_percentile(&self, p: f64) -> u64 {
-        latency_percentile_of(&self.responses, p)
-    }
-
-    /// One observability [`EventRecord`] per response (see
-    /// [`event_records_of`]).
-    pub fn event_records(&self, trace_seed: u64, requests: &[Request]) -> Vec<EventRecord> {
-        event_records_of(trace_seed, &self.responses, requests)
-    }
-
-    /// Flattens the whole report — aggregates and every response — into
-    /// a `Vec<u64>` for bitwise-determinism assertions.
-    pub fn fingerprint(&self) -> Vec<u64> {
-        let mut fp = vec![
-            self.shed,
-            self.timed_out,
-            self.breaker_rejected,
-            self.failed,
-            self.retries,
-            self.breaker_trips,
-            self.max_queue_depth as u64,
-            self.horizon,
-        ];
-        fp.extend(self.completed_by_tier.iter().copied());
-        for r in &self.responses {
-            let tier = match r.outcome {
-                Outcome::Completed { tier } => tier as u64,
-                _ => u64::MAX,
-            };
-            fp.extend([r.id, r.outcome.code(), tier, r.attempts as u64, r.finished_at, r.latency]);
-            fp.extend(r.attribution.fingerprint());
-        }
-        for t in &self.traces {
-            fp.extend(t.fingerprint());
-        }
-        if let Some(h) = &self.health {
-            fp.extend(h.fingerprint());
-        }
-        fp
-    }
 }
 
 #[cfg(test)]
@@ -295,64 +162,23 @@ mod tests {
 
     #[test]
     fn percentiles_are_nearest_rank() {
-        let report = ServeReport {
-            responses: (1..=100).map(|i| completed(i, i * 10)).collect(),
-            completed_by_tier: vec![100],
-            shed: 0,
-            timed_out: 0,
-            breaker_rejected: 0,
-            failed: 0,
-            retries: 0,
-            breaker_trips: 0,
-            max_queue_depth: 1,
-            horizon: 1000,
-            traces: vec![],
-            health: None,
-        };
-        assert_eq!(report.latency_percentile(50.0), 500);
-        assert_eq!(report.latency_percentile(99.0), 990);
-        assert_eq!(report.latency_percentile(100.0), 1000);
-        assert_eq!(report.completed(), 100);
-        assert_eq!(report.degraded(), 0);
+        let mut responses: Vec<Response> = (1..=100).map(|i| completed(i, i * 10)).collect();
+        // Non-completions never count toward the latency percentiles.
+        responses.push(Response { outcome: Outcome::Shed, ..completed(101, 99_999) });
+        assert_eq!(latency_percentile_of(&responses, 50.0), 500);
+        assert_eq!(latency_percentile_of(&responses, 99.0), 990);
+        assert_eq!(latency_percentile_of(&responses, 100.0), 1000);
     }
 
     #[test]
     fn empty_report_percentile_is_zero() {
-        let report = ServeReport {
-            responses: vec![],
-            completed_by_tier: vec![0],
-            shed: 0,
-            timed_out: 0,
-            breaker_rejected: 0,
-            failed: 0,
-            retries: 0,
-            breaker_trips: 0,
-            max_queue_depth: 0,
-            horizon: 0,
-            traces: vec![],
-            health: None,
-        };
-        assert_eq!(report.latency_percentile(99.0), 0);
-    }
-
-    #[test]
-    fn fingerprint_covers_responses() {
-        let mut a = ServeReport {
-            responses: vec![completed(1, 10)],
-            completed_by_tier: vec![1],
-            shed: 0,
-            timed_out: 0,
-            breaker_rejected: 0,
-            failed: 0,
-            retries: 0,
-            breaker_trips: 0,
-            max_queue_depth: 1,
-            horizon: 10,
-            traces: vec![],
-            health: None,
-        };
-        let fp = a.fingerprint();
-        a.responses[0].latency = 11;
-        assert_ne!(fp, a.fingerprint());
+        assert_eq!(latency_percentile_of(&[], 99.0), 0);
+        assert_eq!(
+            latency_percentile_of(
+                &[Response { outcome: Outcome::TimedOut, ..completed(1, 7) }],
+                99.0
+            ),
+            0
+        );
     }
 }

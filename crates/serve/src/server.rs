@@ -1,32 +1,23 @@
-//! The deterministic serving loop.
+//! What every replica of the serving loop shares: the request and
+//! backend types, the per-replica [`ServerConfig`], the `serve.*`
+//! metrics, and the helpers that turn a request's accounting timeline
+//! into its span tree.
 //!
-//! [`Server::run`] is a single-server discrete-event simulation on the
-//! virtual clock: time is accelerator cycles, service time is the
-//! backend's data-dependent cycle count, and every decision — admission,
-//! shedding, EDF dispatch, degradation tier, retry backoff, breaker
-//! transition — is a pure function of the request trace, the
-//! configuration, and the armed fault plan. Re-running the same trace
-//! therefore reproduces the same [`ServeReport`] bitwise, at any
-//! `SC_THREADS` setting, which is what makes overload behaviour and
-//! fault storms regression-testable.
-//!
-//! Event order within a tick is fixed: the in-flight completion first,
-//! then expiry of queued deadlines, then arrivals, then dispatch. The
-//! server dispatches at most one request at a time (the backend models
-//! one accelerator); retried requests re-enter the admission queue
-//! behind a backoff gate and compete for capacity like everyone else.
+//! The serving loop itself is [`crate::Fleet`]. A single server is a
+//! one-replica fleet, `FleetConfig { server, replicas: 1, ..FleetConfig::default() }`:
+//! one admission queue, one breaker, one health monitor, at most one
+//! request on the backend at a time, with every decision a pure
+//! function of the trace, the configuration and the armed fault plan.
 
 use std::sync::{Arc, OnceLock};
 
-use sc_health::{HealthConfig, HealthMonitor, Sample, SpanSummary, SystemState};
+use sc_health::HealthConfig;
 use sc_telemetry::metrics::{counter, histogram, log2_bounds, Counter, Histogram};
 use sc_telemetry::{BackendProfile, CycleCategory, SpanId, SpanTree, TraceId};
 
-use crate::breaker::CircuitBreaker;
-use crate::clock::VirtualClock;
 use crate::degrade::DegradePolicy;
-use crate::queue::{AdmissionQueue, Queued, ShedPolicy};
-use crate::report::{Outcome, Response, Segment, ServeReport};
+use crate::queue::{Queued, ShedPolicy};
+use crate::report::Segment;
 use crate::retry::RetryPolicy;
 
 /// One inference request.
@@ -149,19 +140,6 @@ pub(crate) fn metrics() -> &'static ServeMetrics {
     })
 }
 
-/// The request currently occupying the backend.
-struct Inflight {
-    entry: Queued,
-    tier: usize,
-    finish_at: u64,
-    /// `None` = the call succeeded; `Some(e)` = it failed (injected or
-    /// surfaced by the backend) and the failure is detected at
-    /// `finish_at`.
-    error: Option<sc_core::Error>,
-    /// The successful reply's cycle breakdown (`None` on failure).
-    profile: Option<BackendProfile>,
-}
-
 /// Closes the open wait interval `[marker, now)` on `entry` as a
 /// [`Segment::Wait`], split at the backoff-gate expiry: the portion
 /// before `not_before` was backoff, the rest dispatchable queue wait.
@@ -259,390 +237,20 @@ fn graft_profile(
     }
 }
 
-/// The deterministic serving front-end. See the module docs for the
-/// event model.
-#[derive(Debug, Clone)]
-pub struct Server {
-    config: ServerConfig,
-}
-
-impl Server {
-    /// A server with the given tuning.
-    pub fn new(config: ServerConfig) -> Self {
-        Server { config }
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &ServerConfig {
-        &self.config
-    }
-
-    /// Serves `requests` against `backend` to completion and reports.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a request names a payload the backend does not have
-    /// (use [`Server::try_run`] to get an error instead).
-    pub fn run(&self, backend: &mut dyn Backend, requests: Vec<Request>) -> ServeReport {
-        self.try_run(backend, requests).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible form of [`Server::run`], for externally-supplied
-    /// workloads.
-    ///
-    /// # Errors
-    ///
-    /// Rejects the workload if a request names a payload index the
-    /// backend does not have.
-    pub fn try_run(
-        &self,
-        backend: &mut dyn Backend,
-        mut requests: Vec<Request>,
-    ) -> Result<ServeReport, sc_core::Error> {
-        let m = metrics();
-        for r in &requests {
-            if r.payload >= backend.payloads() {
-                return Err(sc_core::Error::InvalidConfig {
-                    what: "serve workload".to_string(),
-                    reason: format!(
-                        "request {} names payload {} but the backend has {}",
-                        r.id,
-                        r.payload,
-                        backend.payloads()
-                    ),
-                });
-            }
-        }
-        requests.sort_by_key(|r| (r.arrival, r.id));
-
-        let mut clock = VirtualClock::new();
-        let mut queue = AdmissionQueue::new(self.config.queue_capacity, self.config.shed_policy);
-        let mut breaker = CircuitBreaker::new(self.config.breaker);
-        let fault = sc_fault::site(crate::sites::BACKEND);
-        let mut monitor =
-            HealthMonitor::new(self.config.health.clone(), self.config.degrade.tier_count() - 1);
-        let mut noted_trips = 0u64;
-
-        let mut inflight: Option<Inflight> = None;
-        let mut next_arrival = 0usize;
-        let mut responses: Vec<Response> = Vec::with_capacity(requests.len());
-        let mut completed_by_tier = vec![0u64; self.config.degrade.tier_count()];
-        let mut shed = 0u64;
-        let mut timed_out = 0u64;
-        let mut breaker_rejected = 0u64;
-        let mut failed = 0u64;
-        let mut retries = 0u64;
-        let mut max_queue_depth = 0usize;
-        let mut traces: Vec<SpanTree> = Vec::with_capacity(requests.len());
-        let trace_seed = self.config.trace_seed;
-
-        // The monitor is threaded through as an explicit parameter (not
-        // captured) so the loop can also advance it between finalizations.
-        let mut finalize =
-            |entry: &mut Queued, outcome: Outcome, now: u64, mon: &mut Option<HealthMonitor>| {
-                // Close the open wait interval so the accounting timeline
-                // covers the request's whole lifetime.
-                settle_wait(entry, now);
-                let latency = now.saturating_sub(entry.req.arrival);
-                match outcome {
-                    Outcome::Completed { tier } => {
-                        completed_by_tier[tier] += 1;
-                        m.completed.incr(1);
-                        if tier > 0 {
-                            m.degraded.incr(1);
-                        }
-                        m.latency.record(latency);
-                    }
-                    Outcome::Shed => {
-                        shed += 1;
-                        m.shed.incr(1);
-                    }
-                    Outcome::TimedOut => {
-                        timed_out += 1;
-                        m.timeout.incr(1);
-                    }
-                    Outcome::BreakerOpen => {
-                        breaker_rejected += 1;
-                        m.breaker_final.incr(1);
-                    }
-                    Outcome::Failed => {
-                        failed += 1;
-                        m.failed.incr(1);
-                    }
-                }
-                let tree = build_trace(trace_seed, entry, now);
-                debug_assert_eq!(
-                    tree.validate(),
-                    Ok(()),
-                    "span tree for request {} is malformed",
-                    entry.req.id
-                );
-                let attribution = tree.attribution();
-                debug_assert_eq!(
-                    attribution.total(),
-                    latency,
-                    "request {}: attribution must sum to latency",
-                    entry.req.id
-                );
-                sc_telemetry::record_attribution(&attribution);
-                responses.push(Response {
-                    id: entry.req.id,
-                    payload: entry.req.payload,
-                    outcome,
-                    attempts: entry.attempts,
-                    finished_at: now,
-                    latency,
-                    attribution,
-                });
-                traces.push(tree);
-                if let Some(hm) = mon.as_mut() {
-                    hm.sample(match outcome {
-                        Outcome::Completed { tier } => {
-                            Sample::Completed { latency, degraded: tier > 0 }
-                        }
-                        Outcome::Shed => Sample::Shed,
-                        Outcome::TimedOut => Sample::TimedOut,
-                        Outcome::BreakerOpen | Outcome::Failed => Sample::Error,
-                    });
-                    hm.record_span(SpanSummary {
-                        id: entry.req.id,
-                        outcome: outcome.name().to_string(),
-                        latency,
-                        attempts: entry.attempts,
-                        finished_at: now,
-                    });
-                }
-            };
-
-        loop {
-            // Next event: the in-flight completion, the next arrival, or
-            // (while idle) a queued entry's backoff expiring; queued
-            // deadlines always count so timeouts fire on time.
-            let mut event: Option<u64> = None;
-            let mut consider = |t: u64| event = Some(event.map_or(t, |e: u64| e.min(t)));
-            if let Some(inf) = &inflight {
-                consider(inf.finish_at);
-            }
-            if let Some(r) = requests.get(next_arrival) {
-                consider(r.arrival);
-            }
-            if inflight.is_none() {
-                if let Some(t) = queue.next_ready_at() {
-                    consider(t);
-                }
-            }
-            if let Some(t) = queue.next_deadline_at() {
-                consider(t);
-            }
-            let Some(t) = event else { break };
-            let now = t.max(clock.now());
-            clock.advance_to(now);
-
-            // Health windows close on the boundary *before* events at
-            // `now` are processed, so window membership is a pure
-            // function of cycle time.
-            if let Some(hm) = monitor.as_mut() {
-                let state = SystemState {
-                    queue_depth: queue.len(),
-                    queue_capacity: queue.capacity(),
-                    inflight: inflight.is_some() as usize,
-                    breaker: breaker.state().name().to_string(),
-                    breaker_trips: breaker.trips(),
-                    tier_floor: hm.tier_floor(),
-                    lifecycle: "live".to_string(),
-                    rejoins: 0,
-                };
-                hm.advance(now, &state);
-            }
-
-            // 1. Completion (before arrivals at the same tick).
-            if let Some(inf) = inflight.take_if(|inf| inf.finish_at <= now) {
-                let mut entry = inf.entry;
-                // The backend occupation window [marker, now) is one
-                // attempt segment — a service window or a failure
-                // burning its detection latency.
-                entry.acct.segments.push(Segment::Attempt {
-                    start: entry.acct.marker,
-                    end: now,
-                    ok: inf.error.is_none(),
-                    profile: inf.profile,
-                });
-                entry.acct.marker = now;
-                match inf.error {
-                    None => {
-                        breaker.on_success(now);
-                        if now >= entry.req.deadline {
-                            finalize(&mut entry, Outcome::TimedOut, now, &mut monitor);
-                        } else {
-                            finalize(
-                                &mut entry,
-                                Outcome::Completed { tier: inf.tier },
-                                now,
-                                &mut monitor,
-                            );
-                        }
-                    }
-                    Some(e) => {
-                        breaker.on_failure(now);
-                        sc_telemetry::event!("serve.attempt_failed", now, e);
-                        if entry.attempts >= self.config.retry.max_attempts {
-                            finalize(&mut entry, Outcome::Failed, now, &mut monitor);
-                        } else {
-                            let wait = self.config.retry.backoff(entry.req.id, entry.attempts);
-                            entry.not_before = now + wait;
-                            if entry.not_before >= entry.req.deadline {
-                                finalize(&mut entry, Outcome::TimedOut, now, &mut monitor);
-                            } else if let Some(mut victim) = queue.push(entry) {
-                                finalize(&mut victim, Outcome::Shed, now, &mut monitor);
-                            }
-                        }
-                    }
-                }
-                // Surface breaker trips to the flight recorder as they
-                // happen (trip count only moves on failures).
-                if let Some(hm) = monitor.as_mut() {
-                    if breaker.trips() > noted_trips {
-                        noted_trips = breaker.trips();
-                        hm.note(now, "serve.breaker.trip", format!("trips={noted_trips}"));
-                    }
-                }
-            }
-
-            // 2. Expired deadlines among the queued.
-            for mut dead in queue.drop_expired(now) {
-                finalize(&mut dead, Outcome::TimedOut, now, &mut monitor);
-            }
-
-            // 3. Arrivals at this tick.
-            while requests.get(next_arrival).is_some_and(|r| r.arrival <= now) {
-                let req = requests[next_arrival];
-                next_arrival += 1;
-                let mut entry = Queued::fresh(req);
-                if req.deadline <= now {
-                    finalize(&mut entry, Outcome::TimedOut, now, &mut monitor);
-                    continue;
-                }
-                m.admitted.incr(1);
-                if let Some(mut victim) = queue.push(entry) {
-                    finalize(&mut victim, Outcome::Shed, now, &mut monitor);
-                }
-                max_queue_depth = max_queue_depth.max(queue.len());
-            }
-
-            // 4. Dispatch while the backend is idle and someone is
-            // ready. The degradation tier is sampled from occupancy
-            // before the pop, so the dispatched request itself counts
-            // toward the pressure it is served under.
-            while inflight.is_none() {
-                let (occ_tier, occ_bits) =
-                    self.config.degrade.tier_for(queue.len(), queue.capacity());
-                // The SLO verdict imposes a *floor* on the occupancy
-                // tier: a burning error budget keeps the dial degraded
-                // even while the queue itself looks shallow.
-                let floor = monitor.as_ref().map_or(0, HealthMonitor::tier_floor);
-                let (tier, bits) = if floor > occ_tier {
-                    (floor, self.config.degrade.bits_for(floor))
-                } else {
-                    (occ_tier, occ_bits)
-                };
-                let Some(mut entry) = queue.pop_ready(now) else { break };
-                // The wait that just ended becomes a segment; the
-                // marker now sits at the dispatch tick.
-                settle_wait(&mut entry, now);
-                entry.attempts += 1;
-                if entry.attempts > 1 {
-                    retries += 1;
-                    m.retry.incr(1);
-                }
-                if !breaker.admits(now) {
-                    entry.acct.segments.push(Segment::Breaker { at: now });
-                    if entry.attempts >= self.config.retry.max_attempts {
-                        finalize(&mut entry, Outcome::BreakerOpen, now, &mut monitor);
-                    } else {
-                        let wait = self.config.retry.backoff(entry.req.id, entry.attempts);
-                        entry.not_before = now + wait;
-                        if entry.not_before >= entry.req.deadline {
-                            finalize(&mut entry, Outcome::TimedOut, now, &mut monitor);
-                        } else {
-                            // Space is guaranteed: we just popped.
-                            let victim = queue.push(entry);
-                            debug_assert!(victim.is_none());
-                        }
-                    }
-                    continue;
-                }
-                let injected = fault
-                    .as_ref()
-                    .and_then(|s| s.transient(entry.req.id, entry.attempts as u64))
-                    .map(|_| sc_core::Error::RetryExhausted {
-                        what: format!("injected backend fault (request {})", entry.req.id),
-                        attempts: entry.attempts,
-                    });
-                let result = match injected {
-                    Some(e) => Err(e),
-                    None => backend.serve(entry.req.payload, bits),
-                };
-                inflight = Some(match result {
-                    Ok(reply) => Inflight {
-                        finish_at: now + reply.cycles.max(1),
-                        entry,
-                        tier,
-                        error: None,
-                        profile: Some(reply.profile),
-                    },
-                    Err(e) => Inflight {
-                        finish_at: now + self.config.failure_ticks.max(1),
-                        entry,
-                        tier,
-                        error: Some(e),
-                        profile: None,
-                    },
-                });
-            }
-        }
-
-        let health = monitor.map(|hm| {
-            let state = SystemState {
-                queue_depth: queue.len(),
-                queue_capacity: queue.capacity(),
-                inflight: 0,
-                breaker: breaker.state().name().to_string(),
-                breaker_trips: breaker.trips(),
-                tier_floor: hm.tier_floor(),
-                lifecycle: "live".to_string(),
-                rejoins: 0,
-            };
-            let report = hm.finish(clock.now(), &state);
-            m.health_windows.incr(report.closed_windows());
-            m.health_breach.incr(report.breaches());
-            m.health_recover.incr(report.recoveries());
-            m.health_incident.incr(report.incidents.len() as u64);
-            m.health_floor_raise
-                .incr(report.transitions.iter().filter(|t| t.to > t.from).count() as u64);
-            report
-        });
-
-        Ok(ServeReport {
-            responses,
-            completed_by_tier,
-            shed,
-            timed_out,
-            breaker_rejected,
-            failed,
-            retries,
-            breaker_trips: breaker.trips(),
-            max_queue_depth,
-            horizon: clock.now(),
-            traces,
-            health,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    //! The single-server workloads, served by a one-replica
+    //! [`Fleet`]. Each test also asserts [`digest`] against the value the
+    //! dedicated single-server loop produced on the same workload before
+    //! it was folded into the fleet, so these are the bitwise evidence
+    //! that a one-replica fleet *is* that server.
+
     use super::*;
+    use crate::breaker::BreakerConfig;
     use crate::degrade::DegradeTier;
+    use crate::fleet::{Fleet, FleetConfig, FleetReport};
+    use crate::report::Outcome;
+    use sc_fault::{scoped, FaultPlan};
 
     /// Fixed-service-time backend that fails its first `fail_first`
     /// calls, and serves degraded requests proportionally faster.
@@ -698,10 +306,56 @@ mod tests {
             .collect()
     }
 
+    /// Serves `requests` through a one-replica fleet under an empty
+    /// scoped fault plan (concurrent chaos tests cannot leak in).
+    fn serve(config: ServerConfig, backend: MockBackend, requests: Vec<Request>) -> FleetReport {
+        let _guard = scoped(FaultPlan::parse("").unwrap());
+        let fleet =
+            Fleet::new(FleetConfig { server: config, replicas: 1, ..FleetConfig::default() });
+        fleet.run(&mut [Box::new(backend) as Box<dyn Backend>], requests)
+    }
+
+    /// FNV digest over a one-replica report's aggregates, every response
+    /// and every span tree, in the word order the single-server report
+    /// fingerprinted them (health excluded).
+    fn digest(r: &FleetReport) -> u64 {
+        let mut fp = vec![
+            r.shed,
+            r.timed_out,
+            r.breaker_rejected,
+            r.failed,
+            r.retries,
+            r.shards[0].breaker_trips,
+            r.max_queue_depth as u64,
+            r.horizon,
+        ];
+        fp.extend(&r.completed_by_tier);
+        for resp in &r.responses {
+            let tier = match resp.outcome {
+                Outcome::Completed { tier } => tier as u64,
+                _ => u64::MAX,
+            };
+            fp.extend([
+                resp.id,
+                resp.outcome.code(),
+                tier,
+                resp.attempts as u64,
+                resp.finished_at,
+                resp.latency,
+            ]);
+            fp.extend(resp.attribution.fingerprint());
+        }
+        for t in &r.traces {
+            fp.extend(t.fingerprint());
+        }
+        sc_health::slo::digest(&fp)
+    }
+
     #[test]
     fn underloaded_server_completes_everything_at_full_precision() {
-        let server = Server::new(ServerConfig::default());
-        let report = server.run(&mut MockBackend::healthy(100), trace(10, 200, 1_000));
+        let report =
+            serve(ServerConfig::default(), MockBackend::healthy(100), trace(10, 200, 1_000));
+        assert_eq!(digest(&report), 0xd6cc8620a13ad893);
         assert_eq!(report.completed(), 10);
         assert_eq!(report.degraded(), 0);
         assert_eq!(report.shed + report.timed_out + report.failed, 0);
@@ -712,21 +366,22 @@ mod tests {
 
     #[test]
     fn run_is_bitwise_reproducible() {
-        let server = Server::new(ServerConfig {
+        let config = ServerConfig {
             queue_capacity: 4,
             shed_policy: ShedPolicy::ShedByDeadline,
             degrade: DegradePolicy::new(vec![DegradeTier { occupancy: 0.5, effective_bits: 4 }]),
             ..ServerConfig::default()
-        });
-        let a = server.run(&mut MockBackend::healthy(300), trace(40, 50, 900));
-        let b = server.run(&mut MockBackend::healthy(300), trace(40, 50, 900));
+        };
+        let a = serve(config.clone(), MockBackend::healthy(300), trace(40, 50, 900));
+        let b = serve(config, MockBackend::healthy(300), trace(40, 50, 900));
+        assert_eq!(digest(&a), 0xd2e6bddd669aa3aa);
         assert_eq!(a.fingerprint(), b.fingerprint());
         assert_eq!(a.responses.len(), 40, "every request finalized exactly once");
     }
 
     #[test]
     fn overload_sheds_and_degrades_instead_of_queueing_unboundedly() {
-        let server = Server::new(ServerConfig {
+        let config = ServerConfig {
             queue_capacity: 8,
             shed_policy: ShedPolicy::RejectNewest,
             degrade: DegradePolicy::new(vec![
@@ -734,9 +389,10 @@ mod tests {
                 DegradeTier { occupancy: 0.875, effective_bits: 4 },
             ]),
             ..ServerConfig::default()
-        });
+        };
         // Service 400 ≫ inter-arrival 20: heavy overload.
-        let report = server.run(&mut MockBackend::healthy(400), trace(100, 20, 4_000));
+        let report = serve(config, MockBackend::healthy(400), trace(100, 20, 4_000));
+        assert_eq!(digest(&report), 0xcec0e75a6dc273ef);
         assert_eq!(report.responses.len(), 100);
         assert!(report.shed > 0, "full queue must shed");
         assert!(report.degraded() > 0, "deep queue must downshift quality");
@@ -745,56 +401,64 @@ mod tests {
 
     #[test]
     fn transient_backend_failures_are_retried_to_success() {
-        let server = Server::new(ServerConfig {
+        let config = ServerConfig {
             retry: RetryPolicy { max_attempts: 4, base: 32, cap: 128, seed: 9 },
             failure_ticks: 8,
             ..ServerConfig::default()
-        });
-        let mut backend = MockBackend { cycles: 50, fail_first: 2, calls: 0 };
-        let report = server
-            .run(&mut backend, vec![Request { id: 0, arrival: 0, deadline: 5_000, payload: 0 }]);
+        };
+        let backend = MockBackend { cycles: 50, fail_first: 2, calls: 0 };
+        let report = serve(
+            config,
+            backend,
+            vec![Request { id: 0, arrival: 0, deadline: 5_000, payload: 0 }],
+        );
+        assert_eq!(digest(&report), 0x70ee1479581c4775);
         assert_eq!(report.completed(), 1);
         assert_eq!(report.retries, 2);
         assert_eq!(report.responses[0].attempts, 3);
-        assert_eq!(report.breaker_trips, 0, "two failures stay under the threshold");
+        assert_eq!(report.shards[0].breaker_trips, 0, "two failures stay under the threshold");
     }
 
     #[test]
     fn dead_backend_trips_the_breaker_and_fails_fast() {
-        let server = Server::new(ServerConfig {
+        let config = ServerConfig {
             retry: RetryPolicy { max_attempts: 3, base: 16, cap: 64, seed: 1 },
-            breaker: crate::breaker::BreakerConfig { failure_threshold: 3, cooldown: 10_000 },
+            breaker: BreakerConfig { failure_threshold: 3, cooldown: 10_000 },
             failure_ticks: 8,
             ..ServerConfig::default()
-        });
-        let mut backend = MockBackend { cycles: 50, fail_first: u32::MAX, calls: 0 };
-        let report = server.run(&mut backend, trace(20, 10, 50_000));
+        };
+        let backend = MockBackend { cycles: 50, fail_first: u32::MAX, calls: 0 };
+        let report = serve(config, backend, trace(20, 10, 50_000));
+        assert_eq!(digest(&report), 0xdddc3741b8b5aec0);
         assert_eq!(report.completed(), 0);
-        assert!(report.breaker_trips >= 1);
+        assert!(report.shards[0].breaker_trips >= 1);
         assert!(
             report.breaker_rejected > 0,
             "after the trip, requests fail fast without touching the backend"
         );
         // The breaker bounds backend calls: without it every request
         // would burn its whole retry budget against the dead backend.
-        assert!((backend.calls as u64) < 3 * 20, "breaker saved backend calls: {}", backend.calls);
+        // With no fault site armed, every dispatch is one backend call.
+        let calls = report.shards[0].dispatched;
+        assert!(calls < 3 * 20, "breaker saved backend calls: {calls}");
         assert_eq!(report.responses.len(), 20);
     }
 
     #[test]
     fn every_response_carries_an_exactly_attributed_span_tree() {
-        let server = Server::new(ServerConfig {
+        let config = ServerConfig {
             queue_capacity: 4,
             shed_policy: ShedPolicy::ShedByDeadline,
             retry: RetryPolicy { max_attempts: 3, base: 16, cap: 64, seed: 5 },
             failure_ticks: 8,
             trace_seed: 42,
             ..ServerConfig::default()
-        });
+        };
         // Overloaded + flaky: the trees must cover queue wait, backoff,
         // failed attempts, and service windows.
-        let mut backend = MockBackend { cycles: 300, fail_first: 3, calls: 0 };
-        let report = server.run(&mut backend, trace(30, 40, 2_000));
+        let backend = MockBackend { cycles: 300, fail_first: 3, calls: 0 };
+        let report = serve(config, backend, trace(30, 40, 2_000));
+        assert_eq!(digest(&report), 0x86568ad66fb26752);
         assert_eq!(report.traces.len(), report.responses.len());
         for (r, t) in report.responses.iter().zip(&report.traces) {
             t.validate().expect("well-formed span tree");
@@ -812,11 +476,12 @@ mod tests {
 
     #[test]
     fn slow_service_past_the_deadline_times_out() {
-        let server = Server::new(ServerConfig::default());
-        let report = server.run(
-            &mut MockBackend::healthy(500),
+        let report = serve(
+            ServerConfig::default(),
+            MockBackend::healthy(500),
             vec![Request { id: 0, arrival: 0, deadline: 100, payload: 0 }],
         );
+        assert_eq!(digest(&report), 0x7a4aa90ce3815051);
         assert_eq!(report.timed_out, 1);
         assert_eq!(report.completed(), 0);
         assert_eq!(report.responses[0].finished_at, 500);
@@ -824,7 +489,7 @@ mod tests {
 
     #[test]
     fn health_monitoring_reports_green_on_a_healthy_run() {
-        let server = Server::new(ServerConfig {
+        let config = ServerConfig {
             health: sc_health::HealthConfig::with_objectives(
                 1_000,
                 vec![
@@ -833,9 +498,11 @@ mod tests {
                 ],
             ),
             ..ServerConfig::default()
-        });
-        let report = server.run(&mut MockBackend::healthy(100), trace(20, 200, 2_000));
-        let health = report.health.expect("monitoring was enabled");
+        };
+        let report = serve(config, MockBackend::healthy(100), trace(20, 200, 2_000));
+        assert_eq!(digest(&report), 0x27e4d986028cb2c3);
+        let health = report.shards[0].health.as_ref().expect("monitoring was enabled");
+        assert_eq!(health.digest(), 0xcd44138b498e73f0);
         assert_eq!(health.breaches(), 0);
         assert_eq!(health.incidents.len(), 0);
         assert_eq!(health.verdict(), sc_health::Verdict::Green);
@@ -851,10 +518,10 @@ mod tests {
         // Dead-then-healed backend: errors breach the SLO early, and the
         // verdict-driven floor must degrade dispatches even though the
         // queue never crosses the 90% occupancy threshold.
-        let server = Server::new(ServerConfig {
+        let config = ServerConfig {
             queue_capacity: 64,
             retry: RetryPolicy { max_attempts: 1, base: 16, cap: 64, seed: 3 },
-            breaker: crate::breaker::BreakerConfig { failure_threshold: 1_000, cooldown: 1_000 },
+            breaker: BreakerConfig { failure_threshold: 1_000, cooldown: 1_000 },
             degrade: DegradePolicy::new(vec![DegradeTier { occupancy: 0.9, effective_bits: 4 }]),
             failure_ticks: 40,
             health: sc_health::HealthConfig::with_objectives(
@@ -864,10 +531,12 @@ mod tests {
                     .with_recovery(2)],
             ),
             ..ServerConfig::default()
-        });
-        let mut backend = MockBackend { cycles: 100, fail_first: 25, calls: 0 };
-        let report = server.run(&mut backend, trace(60, 50, 20_000));
-        let health = report.health.as_ref().expect("monitoring was enabled");
+        };
+        let backend = MockBackend { cycles: 100, fail_first: 25, calls: 0 };
+        let report = serve(config, backend, trace(60, 50, 20_000));
+        assert_eq!(digest(&report), 0x081ca3d875b4b22e);
+        let health = report.shards[0].health.as_ref().expect("monitoring was enabled");
+        assert_eq!(health.digest(), 0x87845e1d7dcefc85);
         assert!(health.breaches() >= 1, "the failure storm must breach the error SLO");
         assert_eq!(health.incidents.len() as u64, health.breaches().min(8));
         let first = &health.transitions[0];
@@ -890,7 +559,7 @@ mod tests {
     #[test]
     fn health_reports_are_bitwise_reproducible() {
         let run = || {
-            let server = Server::new(ServerConfig {
+            let config = ServerConfig {
                 retry: RetryPolicy { max_attempts: 2, base: 16, cap: 64, seed: 7 },
                 failure_ticks: 32,
                 health: sc_health::HealthConfig::with_objectives(
@@ -901,29 +570,44 @@ mod tests {
                     ],
                 ),
                 ..ServerConfig::default()
-            });
-            let mut backend = MockBackend { cycles: 150, fail_first: 10, calls: 0 };
-            server.run(&mut backend, trace(50, 60, 5_000))
+            };
+            let backend = MockBackend { cycles: 150, fail_first: 10, calls: 0 };
+            serve(config, backend, trace(50, 60, 5_000))
         };
         let (a, b) = (run(), run());
+        assert_eq!(digest(&a), 0xbbb683ec1f4e93b6);
         assert_eq!(a.fingerprint(), b.fingerprint());
-        let (ha, hb) = (a.health.unwrap(), b.health.unwrap());
+        let (ha, hb) = (a.shards[0].health.as_ref().unwrap(), b.shards[0].health.as_ref().unwrap());
         assert_eq!(ha.digest(), hb.digest());
+        // Pinned from the single-server loop with its breaker-trip
+        // flight-recorder note relabelled `trips=N` -> `replica=0 trips=N`,
+        // the only difference a one-replica fleet makes to this report.
+        assert_eq!(ha.digest(), 0x3d1ef9d7006dc833);
         assert_eq!(ha.fingerprint(), hb.fingerprint());
     }
 
     #[test]
+    fn fingerprint_covers_responses() {
+        let request = Request { id: 1, arrival: 0, deadline: 100, payload: 0 };
+        let mut report = serve(ServerConfig::default(), MockBackend::healthy(10), vec![request]);
+        let fp = report.fingerprint();
+        report.responses[0].latency = 11;
+        assert_ne!(fp, report.fingerprint());
+    }
+
+    #[test]
     fn queued_requests_past_their_deadline_expire_on_time() {
-        let server = Server::new(ServerConfig::default());
         // Request 1 arrives while 0 occupies the backend and its
         // deadline passes before the backend frees up.
-        let report = server.run(
-            &mut MockBackend::healthy(1_000),
+        let report = serve(
+            ServerConfig::default(),
+            MockBackend::healthy(1_000),
             vec![
                 Request { id: 0, arrival: 0, deadline: 10_000, payload: 0 },
                 Request { id: 1, arrival: 10, deadline: 400, payload: 1 },
             ],
         );
+        assert_eq!(digest(&report), 0xdbd76085ec7c2d44);
         let r1 = report.responses.iter().find(|r| r.id == 1).unwrap();
         assert_eq!(r1.outcome, Outcome::TimedOut);
         assert_eq!(r1.finished_at, 400, "expiry fires at the deadline tick, not later");

@@ -72,8 +72,8 @@ pub struct EventRecord {
     /// The request's deterministic [`crate::TraceId`] bits.
     pub trace: u64,
     /// Replica (shard) that finalized the request; `None` when it died
-    /// before reaching one (shed, dead on arrival) or was served by a
-    /// single unsharded server.
+    /// before placement (dead on arrival). A single server is a
+    /// one-replica fleet, so its requests read `Some(0)`.
     pub replica: Option<u64>,
     /// Degradation tier served at (`Some` only for completions; 0 =
     /// full precision).
@@ -715,11 +715,6 @@ impl ObsLog {
     /// be retained).
     pub fn fold(&mut self, idx: usize, folded: &FoldedStacks) {
         self.scenarios[idx].folded.merge(folded);
-    }
-
-    /// Folds one span tree directly into scenario `idx`.
-    pub fn fold_tree(&mut self, idx: usize, tree: &SpanTree) {
-        self.scenarios[idx].folded.add_tree(tree);
     }
 
     /// Summary numbers for scenario `idx`.

@@ -368,6 +368,13 @@ done
 rm -rf "$OBS_REF"
 
 echo "==> report gate: a perturbed baseline must fail the gate"
+# Both perturbed-baseline self-tests point sc_report's --results at a
+# throwaway copy of the current manifests and obs profiles: sc_report
+# appends trajectory rows (and writes report.txt) into --results, and a
+# self-test's deliberate regression is no trajectory row for results/.
+SELFTEST_RESULTS="$(mktemp -d)"
+cp results/*.manifest.json "$SELFTEST_RESULTS"/
+cp -r results/obs "$SELFTEST_RESULTS"/
 PERTURBED="$(mktemp -d)"
 cp results/baseline/*.manifest.json "$PERTURBED"/
 python3 - "$PERTURBED" <<'EOF'
@@ -382,9 +389,10 @@ else:
     raise SystemExit("no perturbable counter found in " + p)
 json.dump(m, open(p, "w"))
 EOF
-if cargo run --release -q -p sc-bench --bin sc_report -- --baseline "$PERTURBED" >/dev/null 2>&1; then
+if cargo run --release -q -p sc-bench --bin sc_report -- --baseline "$PERTURBED" \
+    --results "$SELFTEST_RESULTS" >/dev/null 2>&1; then
     echo "sc_report accepted a perturbed baseline; the regression gate is broken" >&2
-    rm -rf "$PERTURBED"
+    rm -rf "$PERTURBED" "$SELFTEST_RESULTS"
     exit 1
 fi
 rm -rf "$PERTURBED"
@@ -406,12 +414,13 @@ stack, count = lines[i].rsplit(" ", 1)
 lines[i] = f"{stack} {int(count) * 10}"
 open(p, "w").write("\n".join(lines) + "\n")
 EOF
-if cargo run --release -q -p sc-bench --bin sc_report -- --baseline "$PERTURBED" >/dev/null 2>&1; then
+if cargo run --release -q -p sc-bench --bin sc_report -- --baseline "$PERTURBED" \
+    --results "$SELFTEST_RESULTS" >/dev/null 2>&1; then
     echo "sc_report accepted a perturbed cycle profile; the differential profiler is broken" >&2
-    rm -rf "$PERTURBED"
+    rm -rf "$PERTURBED" "$SELFTEST_RESULTS"
     exit 1
 fi
-rm -rf "$PERTURBED"
+rm -rf "$PERTURBED" "$SELFTEST_RESULTS"
 echo "    perturbed folded profile rejected as expected"
 
 echo "==> fault gate: zero-rate plan is bitwise identical to no plan"
